@@ -133,35 +133,30 @@ type fixedWorld struct {
 	delay  float64
 }
 
-func (w *fixedWorld) Spawn(rank int, body func(RankOps)) {
-	w.engine.Spawn("fixed", w.hosts[rank], func(p *sim.Proc) {
-		body(&fixedOps{proc: p, delay: w.delay})
-	})
+func (w *fixedWorld) TaskOps(int) TaskOps { return fixedOps{delay: w.delay} }
+
+func (w *fixedWorld) SpawnProg(rank int, feed sim.Feed) {
+	w.engine.SpawnProg("fixed", w.hosts[rank], feed)
 }
 
-type fixedOps struct {
-	proc  *sim.Proc
-	delay float64
-}
+// fixedOps charges the fixed delay for every operation; the nonblocking ones
+// push an already-completed entry so trace waits stay FIFO-aligned.
+type fixedOps struct{ delay float64 }
 
-func (o *fixedOps) Proc() *sim.Proc            { return o.proc }
-func (o *fixedOps) Compute(float64)            { o.proc.Sleep(o.delay) }
-func (o *fixedOps) Send(int, float64)          { o.proc.Sleep(o.delay) }
-func (o *fixedOps) Isend(int, float64) Request { o.proc.Sleep(o.delay); return struct{}{} }
-func (o *fixedOps) Recv(int)                   { o.proc.Sleep(o.delay) }
-func (o *fixedOps) Irecv(int) Request          { o.proc.Sleep(o.delay); return struct{}{} }
-func (o *fixedOps) Wait(Request)               {}
-func (o *fixedOps) WaitAll([]Request)          {}
-func (o *fixedOps) WaitAny([]Request) int      { return 0 }
-func (o *fixedOps) Barrier()                   { o.proc.Sleep(o.delay) }
-func (o *fixedOps) Bcast(float64, int)         { o.proc.Sleep(o.delay) }
-func (o *fixedOps) Reduce(float64, int)        { o.proc.Sleep(o.delay) }
-func (o *fixedOps) AllReduce(float64)          { o.proc.Sleep(o.delay) }
-func (o *fixedOps) AllToAll(float64)           { o.proc.Sleep(o.delay) }
-func (o *fixedOps) Gather(float64, int)        { o.proc.Sleep(o.delay) }
-func (o *fixedOps) AllGather(float64)          { o.proc.Sleep(o.delay) }
-func (o *fixedOps) AllToAllV([]float64)        { o.proc.Sleep(o.delay) }
-func (o *fixedOps) AllGatherV([]float64)       { o.proc.Sleep(o.delay) }
+func (o fixedOps) Compute(p *sim.Prog, _ float64)       { p.Sleep(o.delay) }
+func (o fixedOps) Send(p *sim.Prog, _ int, _ float64)   { p.Sleep(o.delay) }
+func (o fixedOps) Isend(p *sim.Prog, _ int, _ float64)  { p.Sleep(o.delay); p.PushPendingDone() }
+func (o fixedOps) Recv(p *sim.Prog, _ int)              { p.Sleep(o.delay) }
+func (o fixedOps) Irecv(p *sim.Prog, _ int)             { p.Sleep(o.delay); p.PushPendingDone() }
+func (o fixedOps) Barrier(p *sim.Prog)                  { p.Sleep(o.delay) }
+func (o fixedOps) Bcast(p *sim.Prog, _ float64, _ int)  { p.Sleep(o.delay) }
+func (o fixedOps) Reduce(p *sim.Prog, _ float64, _ int) { p.Sleep(o.delay) }
+func (o fixedOps) AllReduce(p *sim.Prog, _ float64)     { p.Sleep(o.delay) }
+func (o fixedOps) AllToAll(p *sim.Prog, _ float64)      { p.Sleep(o.delay) }
+func (o fixedOps) Gather(p *sim.Prog, _ float64, _ int) { p.Sleep(o.delay) }
+func (o fixedOps) AllGather(p *sim.Prog, _ float64)     { p.Sleep(o.delay) }
+func (o fixedOps) AllToAllV(p *sim.Prog, _ []float64)   { p.Sleep(o.delay) }
+func (o fixedOps) AllGatherV(p *sim.Prog, _ []float64)  { p.Sleep(o.delay) }
 
 func TestRegisterCustomBackend(t *testing.T) {
 	Register("fixed", fixedBackend{delay: 0.5})

@@ -6,8 +6,10 @@
 //
 // Replaying a trace amounts to what the paper's smpi_replay main does:
 // initialize, run every rank's action stream to completion, finalize, and
-// read the simulated clock. All backends share one driver loop (driver.go)
-// over the RankOps interface (backend.go); malformed traces surface as
+// read the simulated clock. Every rank runs as a continuation program: one
+// action lowering (RankCompiler, driver.go) compiles its stream into sim
+// micro-ops through the backend's TaskOps (backend.go), and the engine steps
+// the programs inline from its event loop. Malformed traces surface as
 // structured *TraceError values rather than panics.
 package core
 
@@ -54,12 +56,6 @@ type Config struct {
 	// Hosts optionally maps ranks to specific hosts; by default rank i runs
 	// on the platform's i-th host.
 	Hosts []*sim.Host
-	// GoroutineProcs forces the legacy goroutine-per-rank scheduler instead
-	// of the continuation state machines the built-in backends compile to.
-	// The two are bit-identical in simulated times and stats; the goroutine
-	// path exists for differential testing and for third-party backends that
-	// only implement World.
-	GoroutineProcs bool
 }
 
 // Result reports a completed replay. It is JSON-serializable (the sweep
@@ -90,6 +86,16 @@ func (r *Result) ActionsPerSecond() float64 {
 // simulated time. Malformed traces are reported as errors wrapping a
 // *TraceError; a trace that deadlocks surfaces the kernel's DeadlockError.
 func Replay(prov trace.Provider, plat *platform.Platform, cfg Config) (*Result, error) {
+	return replay(prov, plat, cfg, spawnRank)
+}
+
+// spawnFunc starts one rank's replay process on world, counting the actions
+// it replays into *actions.
+type spawnFunc func(world World, backend string, rank, nranks int, stream trace.Stream, actions *int64)
+
+// replay is Replay with the rank spawner as a parameter, so the differential
+// tests can run the same set-up on their goroutine reference driver.
+func replay(prov trace.Provider, plat *platform.Platform, cfg Config, spawn spawnFunc) (*Result, error) {
 	n := prov.NumRanks()
 	if n <= 0 {
 		return nil, fmt.Errorf("core: trace has no ranks")
@@ -115,9 +121,6 @@ func Replay(prov trace.Provider, plat *platform.Platform, cfg Config) (*Result, 
 	if cfg.Network != nil {
 		opts = append(opts, sim.WithNetworkModel(cfg.Network))
 	}
-	if cfg.GoroutineProcs {
-		opts = append(opts, sim.WithGoroutineProcs())
-	}
 	engine := sim.NewEngine(plat, opts...)
 
 	world, err := backend.NewWorld(engine, hosts, cfg)
@@ -136,13 +139,6 @@ func Replay(prov trace.Provider, plat *platform.Platform, cfg Config) (*Result, 
 			}
 		}
 	}()
-	// Continuation mode is the default whenever the backend can compile its
-	// ranks; the goroutine scheduler remains available for differential
-	// testing and execute-only backends.
-	taskWorld, taskMode := world.(TaskWorld)
-	if cfg.GoroutineProcs {
-		taskMode = false
-	}
 	var actions int64
 	for rank := 0; rank < n; rank++ {
 		stream, err := prov.Rank(rank)
@@ -150,11 +146,7 @@ func Replay(prov trace.Provider, plat *platform.Platform, cfg Config) (*Result, 
 			return nil, fmt.Errorf("core: opening stream for rank %d: %w", rank, err)
 		}
 		streams = append(streams, stream)
-		if taskMode {
-			spawnRankTask(taskWorld, backend.Name(), rank, n, stream, &actions)
-		} else {
-			spawnRank(world, backend.Name(), rank, n, stream, &actions)
-		}
+		spawn(world, backend.Name(), rank, n, stream, &actions)
 	}
 
 	start := time.Now()

@@ -13,8 +13,9 @@ import (
 	"tireplay/internal/trace"
 )
 
-// Differential property: the continuation scheduler (the default) and the
-// legacy goroutine-per-rank scheduler must produce bit-identical results —
+// Differential property: the continuation programs Replay runs and the
+// goroutine reference driver (reference_test.go) must produce bit-identical
+// results —
 // the same simulated time, action count, and every engine counter — on
 // random traces exercising every replayable action kind, for both backends
 // and across model configurations. This is the test that licenses compiling
@@ -150,12 +151,8 @@ func TestContinuationGoroutineBitIdentical(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		perRank := randomTrace(rng, n)
 		for _, cfg := range configs {
-			task := cfg
-			task.GoroutineProcs = false
-			goro := cfg
-			goro.GoroutineProcs = true
-			resTask, errTask := Replay(trace.NewMemProvider(perRank), testPlatform(t, n), task)
-			resGoro, errGoro := Replay(trace.NewMemProvider(perRank), testPlatform(t, n), goro)
+			resTask, errTask := Replay(trace.NewMemProvider(perRank), testPlatform(t, n), cfg)
+			resGoro, errGoro := replayReference(trace.NewMemProvider(perRank), testPlatform(t, n), cfg)
 			if (errTask == nil) != (errGoro == nil) {
 				t.Logf("error mismatch (backend %s): task=%v goroutine=%v", cfg.Backend, errTask, errGoro)
 				return false
@@ -277,9 +274,11 @@ MPI_Finalize returning at walltime 15.1, cputime 5 seconds in thread 0.
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := cfg
-			c.GoroutineProcs = goroutines
-			res, err := Replay(p, testPlatform(t, 2), c)
+			run := Replay
+			if goroutines {
+				run = replayReference
+			}
+			res, err := run(p, testPlatform(t, 2), cfg)
 			if err != nil {
 				t.Fatalf("backend %s goroutines=%v: %v", cfg.Backend, goroutines, err)
 			}
@@ -317,7 +316,7 @@ func TestTraceFailuresIdenticalAcrossSchedulers(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			n := len(tc.perRank)
 			_, errTask := Replay(trace.NewMemProvider(tc.perRank), testPlatform(t, n), Config{})
-			_, errGoro := Replay(trace.NewMemProvider(tc.perRank), testPlatform(t, n), Config{GoroutineProcs: true})
+			_, errGoro := replayReference(trace.NewMemProvider(tc.perRank), testPlatform(t, n), Config{})
 			if errTask == nil || errGoro == nil {
 				t.Fatalf("want errors, got task=%v goroutine=%v", errTask, errGoro)
 			}

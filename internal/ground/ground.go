@@ -22,6 +22,7 @@ package ground
 import (
 	"fmt"
 
+	"tireplay/internal/core"
 	"tireplay/internal/instrument"
 	"tireplay/internal/mpi"
 	"tireplay/internal/npb"
@@ -120,7 +121,19 @@ func (c *Cluster) CacheResident(w npb.Workload) bool {
 // Run emulates one execution of w built and instrumented as icfg describes,
 // and returns its wall-clock time. Use instrument.Counters for the counter
 // readings and instrument.Acquired for the trace the run would produce.
+// A failing operation stream or a malformed operation aborts the run with
+// an error wrapping a *core.TraceError.
 func (c *Cluster) Run(w npb.Workload, icfg instrument.Config) (*RunResult, error) {
+	return c.run(w, icfg, spawnRank)
+}
+
+// rankSpawner starts one rank of an emulated run computing at rate,
+// accumulating its time outside MPI into *busy.
+type rankSpawner func(world *mpi.World, rank int, rate float64, stream npb.OpStream, icfg instrument.Config, busy *float64)
+
+// run is Run with the rank spawner as a parameter, so the tests can run the
+// same set-up on their goroutine reference.
+func (c *Cluster) run(w npb.Workload, icfg instrument.Config, spawn rankSpawner) (*RunResult, error) {
 	n := w.Ranks()
 	if n > c.Hosts {
 		return nil, fmt.Errorf("ground: %s has %d nodes, workload needs %d", c.Name, c.Hosts, n)
@@ -134,17 +147,22 @@ func (c *Cluster) Run(w npb.Workload, icfg instrument.Config) (*RunResult, error
 		opts = append(opts, sim.WithNetworkModel(model))
 	}
 	engine := sim.NewEngine(plat, opts...)
-	world, err := mpi.NewWorld(engine, plat.Hosts()[:n], c.MPI)
+	hosts := plat.Hosts()[:n]
+	world, err := mpi.NewWorld(engine, hosts, c.MPI)
 	if err != nil {
 		return nil, err
 	}
 	busy := make([]float64, n)
-	for rank := 0; rank < n; rank++ {
+	for rank, h := range hosts {
 		stream, err := w.Rank(rank)
 		if err != nil {
 			return nil, err
 		}
-		c.spawnRank(world, rank, c.rateFor(w, rank), stream, icfg, &busy[rank])
+		// One rank per node: the node's speed is the rank's effective
+		// rate. The platform is built for this run alone.
+		rate := c.rateFor(w, rank)
+		h.Speed = rate
+		spawn(world, rank, rate, stream, icfg, &busy[rank])
 	}
 	if err := engine.Run(); err != nil {
 		return nil, fmt.Errorf("ground: emulating %s on %s: %w", w.Name(), c.Name, err)
@@ -152,69 +170,43 @@ func (c *Cluster) Run(w npb.Workload, icfg instrument.Config) (*RunResult, error
 	return &RunResult{Time: engine.Now(), ComputeSeconds: busy, Engine: engine.Stats()}, nil
 }
 
-// spawnRank drives one rank's operation stream on the emulated machine.
-func (c *Cluster) spawnRank(world *mpi.World, rank int, rate float64, stream npb.OpStream, icfg instrument.Config, busy *float64) {
-	world.Spawn(rank, func(r *mpi.Rank) {
-		var pending []*mpi.Request
-		for {
-			op, ok, err := stream.Next()
-			if err != nil {
-				panic(fmt.Errorf("rank %d: %w", rank, err))
-			}
-			if !ok {
-				return
-			}
-			a := op.Action
-			if a.Kind == trace.Compute {
-				base, _, probeTime := icfg.ComputeCost(op)
-				r.Proc().ExecuteAtRate(base, rate)
-				if probeTime > 0 {
-					r.Proc().Sleep(probeTime)
-				}
-				*busy += base/rate + probeTime
-				continue
-			}
-			if a.Kind != trace.Init && a.Kind != trace.Finalize {
-				if _, probeTime := icfg.MPICost(op); probeTime > 0 {
-					r.Proc().Sleep(probeTime)
-				}
-			}
-			switch a.Kind {
-			case trace.Init, trace.Finalize:
-			case trace.Send:
-				r.Send(a.Peer, a.Bytes)
-			case trace.ISend:
-				pending = append(pending, r.Isend(a.Peer, a.Bytes))
-			case trace.Recv:
-				r.Recv(a.Peer)
-			case trace.IRecv:
-				pending = append(pending, r.Irecv(a.Peer))
-			case trace.Wait:
-				if len(pending) == 0 {
-					panic(fmt.Errorf("rank %d: wait with no outstanding request", rank))
-				}
-				r.Wait(pending[0])
-				pending = pending[1:]
-			case trace.WaitAll:
-				r.WaitAll(pending)
-				pending = pending[:0]
-			case trace.Barrier:
-				r.Barrier()
-			case trace.Bcast:
-				r.Bcast(a.Bytes, a.Root)
-			case trace.Reduce:
-				r.Reduce(a.Bytes, a.Root)
-			case trace.AllReduce:
-				r.AllReduce(a.Bytes)
-			case trace.AllToAll:
-				r.AllToAll(a.Bytes)
-			case trace.Gather:
-				r.Gather(a.Bytes, a.Root)
-			case trace.AllGather:
-				r.AllGather(a.Bytes)
-			default:
-				panic(fmt.Errorf("rank %d: unsupported op %v", rank, a.Kind))
+// groundBackend names the emulator in the TraceErrors of its runs.
+const groundBackend = "ground"
+
+// spawnRank compiles one rank's operation stream into a continuation
+// program on the emulated machine. The actions lower exactly as in replay
+// (core.RankCompiler), with compute at the node's speed, which run has set
+// to the rank's rate. The emulator adds only its own costs: the compile
+// level's instruction scaling, and the instrumentation probe time — after a
+// compute segment, before an MPI call.
+func spawnRank(world *mpi.World, rank int, rate float64, stream npb.OpStream, icfg instrument.Config, busy *float64) {
+	rc := core.NewRankCompiler(groundBackend, world.TaskRank(rank), rank, world.Size())
+	world.SpawnProg(rank, func(p *sim.Prog) (bool, error) {
+		op, ok, err := stream.Next()
+		if err != nil {
+			return false, rc.StreamError(err)
+		}
+		if !ok {
+			return false, nil
+		}
+		a := op.Action
+		var after float64 // probe time charged once the action is done
+		if a.Kind == trace.Compute {
+			base, _, probeTime := icfg.ComputeCost(op)
+			a.Instructions = base
+			after = probeTime
+			*busy += base/rate + probeTime
+		} else if a.Kind != trace.Init && a.Kind != trace.Finalize {
+			if _, probeTime := icfg.MPICost(op); probeTime > 0 {
+				p.Sleep(probeTime)
 			}
 		}
+		if err := rc.Lower(p, a); err != nil {
+			return false, err
+		}
+		if after > 0 {
+			p.Sleep(after)
+		}
+		return true, nil
 	})
 }

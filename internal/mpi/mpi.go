@@ -104,7 +104,10 @@ func (w *World) Host(rank int) *sim.Host { return w.hosts[rank] }
 // Config returns the communication model configuration.
 func (w *World) Config() ModelConfig { return w.cfg }
 
-// Spawn starts the body of one rank as a simulated process.
+// Spawn starts the body of one rank as a goroutine-backed simulated
+// process. It is the executing reference that the continuation path
+// (SpawnProg with TaskRank) is tested against; production code compiles
+// ranks instead.
 func (w *World) Spawn(rank int, body func(*Rank)) *Rank {
 	if rank < 0 || rank >= len(w.hosts) {
 		panic(fmt.Sprintf("mpi: rank %d out of range [0,%d)", rank, len(w.hosts)))

@@ -78,7 +78,9 @@ func NewWorld(engine *sim.Engine, hosts []*sim.Host, cfg Config) (*World, error)
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.hosts) }
 
-// Spawn starts one rank's body.
+// Spawn starts one rank's body as a goroutine-backed simulated process. It
+// is the executing reference that the continuation path (SpawnProg with
+// TaskRank) is tested against; production code compiles ranks instead.
 func (w *World) Spawn(rank int, body func(*Rank)) {
 	if rank < 0 || rank >= len(w.hosts) {
 		panic(fmt.Sprintf("msgreplay: rank %d out of range [0,%d)", rank, len(w.hosts)))

@@ -20,44 +20,6 @@ func smokePlatform(t *testing.T, n int) *platform.Platform {
 	return p
 }
 
-// The new workloads must replay to completion — the waitany/waitsome drains
-// and vector collectives included — with bit-identical simulated times and
-// action counts under both schedulers.
-func TestNewWorkloadsReplayBothModes(t *testing.T) {
-	plat := smokePlatform(t, 9)
-	for _, tc := range []struct {
-		name string
-		mk   func() (Workload, error)
-	}{
-		{"bt-4", func() (Workload, error) { return NewBT(ClassS, 4, 2) }},
-		{"sp-9", func() (Workload, error) { return NewSP(ClassS, 9, 2) }},
-		{"ft-5", func() (Workload, error) { return NewFT(ClassS, 5, 2) }}, // 64 % 5 != 0: uneven transpose
-		{"bt-1", func() (Workload, error) { return NewBT(ClassS, 1, 2) }},
-		{"ft-1", func() (Workload, error) { return NewFT(ClassS, 1, 2) }},
-	} {
-		w, err := tc.mk()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var times []float64
-		var actions []int64
-		for _, goroutines := range []bool{false, true} {
-			res, err := core.Replay(AsProvider(w), plat, core.Config{GoroutineProcs: goroutines})
-			if err != nil {
-				t.Fatalf("%s goroutines=%v: %v", tc.name, goroutines, err)
-			}
-			if res.SimulatedTime <= 0 {
-				t.Fatalf("%s: non-positive simulated time %v", tc.name, res.SimulatedTime)
-			}
-			times = append(times, res.SimulatedTime)
-			actions = append(actions, res.Actions)
-		}
-		if times[0] != times[1] || actions[0] != actions[1] {
-			t.Fatalf("%s: schedulers disagree: times %v actions %v", tc.name, times, actions)
-		}
-	}
-}
-
 func TestNewWorkloadConstructorsValidate(t *testing.T) {
 	if _, err := NewBT(ClassS, 3, 1); err == nil {
 		t.Fatal("BT accepted non-square process count")

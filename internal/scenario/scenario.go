@@ -179,10 +179,6 @@ type Scenario struct {
 
 	// Backend names the registered replay backend; "" selects SMPI.
 	Backend string `json:"backend,omitempty"`
-	// GoroutineProcs replays on the legacy goroutine-per-rank scheduler
-	// instead of continuation state machines. Simulated results are
-	// bit-identical; the knob exists for differential testing.
-	GoroutineProcs bool `json:"goroutine_procs,omitempty"`
 	// MPI configures the SMPI backend's communication model.
 	MPI mpi.ModelConfig `json:"mpi,omitempty"`
 	// MSG configures the legacy backend.
@@ -461,10 +457,9 @@ func (s *Scenario) Run(ctx context.Context) (*core.Result, error) {
 	}
 
 	cfg := core.Config{
-		Backend:        s.Backend,
-		MPI:            s.MPI,
-		MSG:            s.MSG,
-		GoroutineProcs: s.GoroutineProcs,
+		Backend: s.Backend,
+		MPI:     s.MPI,
+		MSG:     s.MSG,
 	}
 	switch {
 	case s.Network != nil:

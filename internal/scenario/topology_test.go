@@ -8,92 +8,6 @@ import (
 	"tireplay/internal/platform"
 )
 
-// topoSpecs returns 16-host zoo platforms as Spec JSON — the scenario layer
-// never names the new constructors, proving topology selection is pure
-// configuration.
-func topoSpecs(t *testing.T) map[string]*platform.Spec {
-	t.Helper()
-	specs := map[string]string{
-		"fattree": `{
-			"name": "ft", "topology": "fattree", "radix": 4, "levels": 2,
-			"speed": 1e9,
-			"link_bandwidth": 1.25e8, "link_latency": 2e-5,
-			"backbone_bandwidth": 1.25e9, "backbone_latency": 1e-6
-		}`,
-		"dragonfly": `{
-			"name": "df", "topology": "dragonfly",
-			"groups": 2, "routers_per_group": 2, "hosts_per_router": 4,
-			"routing": "adaptive", "speed": 1e9,
-			"link_bandwidth": 1.25e8, "link_latency": 2e-5,
-			"local_bandwidth": 1.25e9, "local_latency": 1e-6,
-			"global_bandwidth": 2.5e9, "global_latency": 1e-5
-		}`,
-		"torus": `{
-			"name": "tor", "topology": "torus", "torus_dims": [4, 4],
-			"speed": 1e9,
-			"link_bandwidth": 1.25e8, "link_latency": 2e-5,
-			"backbone_bandwidth": 1.25e9, "backbone_latency": 1e-6
-		}`,
-	}
-	out := make(map[string]*platform.Spec, len(specs))
-	for name, js := range specs {
-		spec, err := platform.ReadSpec(strings.NewReader(js))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		out[name] = spec
-	}
-	return out
-}
-
-// TestTopologySchedulerBackendParity replays the same workload on every zoo
-// topology under both backends and both schedulers and requires the
-// goroutine and continuation runs to be bit-identical — simulated time,
-// action count, and every kernel counter.
-func TestTopologySchedulerBackendParity(t *testing.T) {
-	for name, spec := range topoSpecs(t) {
-		for _, backend := range []string{"smpi", "msg"} {
-			t.Run(name+"/"+backend, func(t *testing.T) {
-				run := func(goroutines bool) *Scenario {
-					s := &Scenario{
-						Name:     name,
-						Platform: spec,
-						Workload: &WorkloadSpec{Benchmark: "cg", Class: "S", Procs: 16, Iterations: 2},
-						Backend:  backend,
-					}
-					s.GoroutineProcs = goroutines
-					if backend == "msg" {
-						s.MSG.RefLatency, s.MSG.RefBandwidth = 6.5e-5, 1.25e8
-					}
-					return s
-				}
-				cont, err := run(false).Run(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				goro, err := run(true).Run(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cont.SimulatedTime <= 0 || cont.Actions <= 0 {
-					t.Fatalf("degenerate result: %+v", cont)
-				}
-				if cont.SimulatedTime != goro.SimulatedTime {
-					t.Fatalf("schedulers disagree: continuation %v, goroutine %v",
-						cont.SimulatedTime, goro.SimulatedTime)
-				}
-				if cont.Actions != goro.Actions {
-					t.Fatalf("action counts disagree: %d vs %d", cont.Actions, goro.Actions)
-				}
-				if cont.Engine != goro.Engine {
-					t.Fatalf("engine stats disagree:\ncontinuation %+v\ngoroutine    %+v",
-						cont.Engine, goro.Engine)
-				}
-			})
-		}
-	}
-}
-
 // TestTopologyRoutingModesDiverge pins that the dragonfly routing knob
 // reaches the simulation: valiant detours cross more cable than minimal
 // routes, so the predicted time must differ.

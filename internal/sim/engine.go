@@ -31,9 +31,11 @@ type Stats struct {
 	MaxComponentFlows int64 `json:"max_component_flows"`
 }
 
-// Engine is a sequential discrete-event simulator. Simulated processes run
-// as goroutines but the engine resumes exactly one at a time, so simulated
-// programs need no synchronization and runs are fully deterministic.
+// Engine is a sequential discrete-event simulator. Simulated processes are
+// continuation programs (SpawnProg) that the engine steps inline from its
+// event loop, exactly one at a time, so runs are fully deterministic. The
+// goroutine processes of Spawn, kept as the tests' reference, are resumed
+// one at a time too.
 type Engine struct {
 	now        float64
 	router     Router
@@ -58,18 +60,13 @@ type Engine struct {
 	mailboxHosts map[string]*Host
 
 	// Object recycling for the continuation kernel. pooled starts true and
-	// is permanently cleared the moment a goroutine process or an external
-	// step function is spawned — those may retain *Comm (or timer) handles
-	// forever, so their engines must never reuse the objects.
+	// is permanently cleared the moment a goroutine process is spawned — its
+	// body may retain *Comm (or timer) handles forever, so its engine must
+	// never reuse the objects.
 	pooled    bool
 	commPool  []*Comm
 	timerPool []*timer
 	boxPool   []*mailbox
-
-	// goroutineProcs records that WithGoroutineProcs selected the legacy
-	// goroutine-per-process execution mode (layers above consult it when
-	// choosing how to spawn ranks).
-	goroutineProcs bool
 
 	// Fluid-network state: all active flows, the per-link registries tying
 	// them into connected components, the min-heap of projected completion
@@ -117,19 +114,6 @@ func WithNetworkModel(m NetworkModel) Option {
 func WithFromScratchSharing() Option {
 	return func(e *Engine) { e.fromScratch = true }
 }
-
-// WithGoroutineProcs selects the legacy goroutine-per-process execution mode
-// for layers that support both (the replay core spawns goroutine rank bodies
-// instead of compiled continuation programs when set). The two modes produce
-// bit-identical simulated times and stats; the goroutine mode exists for
-// differential testing and as the ergonomic API for hand-written process
-// bodies.
-func WithGoroutineProcs() Option {
-	return func(e *Engine) { e.goroutineProcs = true }
-}
-
-// GoroutineProcs reports whether WithGoroutineProcs was set.
-func (e *Engine) GoroutineProcs() bool { return e.goroutineProcs }
 
 // NewEngine creates an engine that routes communications with router.
 func NewEngine(router Router, opts ...Option) *Engine {

@@ -1,9 +1,9 @@
 // Package sim implements the discrete-event simulation kernel the replay
 // framework is built on. It plays the role SimGrid's SURF/SIMIX layers play
-// in the paper: simulated processes run as goroutines scheduled in lockstep
-// (exactly one at a time, in deterministic FIFO order), computations are
-// modelled as timers, and communications as fluid flows that share link
-// bandwidth under bounded max-min fairness.
+// in the paper: simulated processes are continuation programs stepped in
+// lockstep (exactly one at a time, in deterministic FIFO order),
+// computations are modelled as timers, and communications as fluid flows
+// that share link bandwidth under bounded max-min fairness.
 package sim
 
 import "fmt"

@@ -12,9 +12,12 @@ const (
 	procDone
 )
 
-// Proc is a simulated process. Its body runs in a dedicated goroutine but
-// only while the engine has handed it control, so bodies are written as
-// plain sequential code calling the blocking primitives below.
+// Proc is a simulated process. Production processes run a continuation
+// program (SpawnProg): the engine steps a micro-op machine inline from the
+// event loop. A process started with Spawn instead runs a Go body in a
+// dedicated goroutine, only while the engine has handed it control, so the
+// body is plain sequential code calling the blocking primitives below; that
+// mode is the reference the continuation kernel is tested against.
 type Proc struct {
 	// Name identifies the process in errors and deadlock reports.
 	Name string
@@ -28,12 +31,10 @@ type Proc struct {
 	resume    chan struct{}
 	fault     error
 
-	// Continuation-mode fields: non-nil step means the process is resumed by
-	// invoking step inline from the event loop instead of a channel handoff
-	// to a goroutine. task is the value handed to step (embedded to avoid a
-	// per-process allocation).
-	step func(*Task) Step
-	task Task
+	// prog, when non-nil, is the continuation program the process runs: the
+	// engine resumes it by stepping the machine inline from the event loop
+	// instead of a channel handoff to a goroutine.
+	prog *progMachine
 }
 
 // blockInfo describes why a process is blocked. It holds the raw operands
@@ -84,8 +85,10 @@ func (p *Proc) Fail(err error) {
 	panic(simFault{err})
 }
 
-// Spawn creates a simulated process named name pinned to host, running body.
-// It may be called before Run or from a running process.
+// Spawn creates a simulated process named name pinned to host, running body
+// in its own goroutine. It may be called before Run or from a running
+// process. It is the goroutine reference for the continuation kernel:
+// production layers compile their processes to SpawnProg programs.
 func (e *Engine) Spawn(name string, host *Host, body func(*Proc)) *Proc {
 	if host == nil {
 		panic("sim: Spawn with nil host")
@@ -125,8 +128,8 @@ func (e *Engine) Spawn(name string, host *Host, body func(*Proc)) *Proc {
 	return p
 }
 
-// resume hands control to p until it blocks or finishes: a direct step-
-// function call for continuation processes, a channel handoff for goroutine
+// resume hands control to p until it blocks or finishes: a direct call into
+// the machine for continuation processes, a channel handoff for goroutine
 // processes. Both count one context switch, so the stat is comparable (and
 // bit-identical) across modes.
 func (e *Engine) resume(p *Proc) {
@@ -136,8 +139,8 @@ func (e *Engine) resume(p *Proc) {
 	p.state = procRunning
 	e.current = p
 	e.stats.ContextSwitches++
-	if p.step != nil {
-		e.stepTask(p)
+	if p.prog != nil {
+		e.stepProg(p)
 		return
 	}
 	p.resume <- struct{}{}

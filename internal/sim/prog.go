@@ -6,7 +6,10 @@ package sim
 // collective schedule) into ops; the engine interprets them inline from the
 // event loop via SpawnProg. Because the ops are exactly the calls the
 // goroutine primitives would have made, in the same order, the schedule —
-// and hence every simulated time and stat — is bit-identical between modes.
+// and hence every simulated time and stat — is bit-identical to the
+// goroutine reference (Spawn).
+
+import "fmt"
 
 type progOpKind uint8
 
@@ -143,14 +146,69 @@ func (p *Prog) Await(b *Barrier) {
 type Feed func(prog *Prog) (more bool, err error)
 
 // SpawnProg creates a continuation process interpreting the micro-op
-// programs produced by feed. Unlike SpawnTask, the machine provably releases
-// every Comm it references, so comm/timer recycling stays enabled.
+// programs produced by feed. It may be called before Run or from a running
+// process. Unlike a goroutine process, the machine provably releases every
+// Comm it references, so comm/timer recycling stays enabled.
 func (e *Engine) SpawnProg(name string, host *Host, feed Feed) *Proc {
+	if host == nil {
+		panic("sim: SpawnProg with nil host")
+	}
 	if feed == nil {
 		panic("sim: SpawnProg with nil feed")
 	}
-	m := &progMachine{feed: feed}
-	return e.spawnStep(name, host, m.step)
+	e.procSeq++
+	p := &Proc{
+		Name:   name,
+		Host:   host,
+		id:     e.procSeq,
+		engine: e,
+		state:  procRunnable,
+		prog:   &progMachine{feed: feed},
+	}
+	e.procs = append(e.procs, p)
+	e.runq.push(p)
+	e.nalive++
+	return p
+}
+
+// stepProg runs p's machine until it blocks or finishes, mirroring the
+// goroutine wrapper's lifecycle handling (fault conversion, completion
+// accounting).
+func (e *Engine) stepProg(p *Proc) {
+	done, failed := runProg(e, p)
+	if done || failed {
+		p.state = procDone
+		p.blockedOn = blockInfo{}
+		e.nalive--
+		e.current = nil
+		return
+	}
+	if p.state != procBlocked {
+		// The machine yielded without arming a wake event; nothing would
+		// ever resume it. Surface the kernel bug instead of deadlocking
+		// silently.
+		e.fail(fmt.Errorf("sim: process %s: yielded without blocking", p.Name))
+		p.state = procDone
+		e.nalive--
+	}
+	e.current = nil
+}
+
+// runProg steps the machine under the same recover discipline as the
+// goroutine wrapper: simFault panics become the carried error, anything else
+// becomes a process-panicked error — bit-identical messages in both modes.
+func runProg(e *Engine, p *Proc) (done, failed bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if f, ok := r.(simFault); ok {
+				e.fail(f.err)
+			} else {
+				e.fail(fmt.Errorf("sim: process %s panicked: %v", p.Name, r))
+			}
+			failed = true
+		}
+	}()
+	return p.prog.step(p), false
 }
 
 // progMachine interprets a rank's micro-op stream: it executes ops until one
@@ -167,8 +225,9 @@ type progMachine struct {
 	feed    Feed
 }
 
-func (m *progMachine) step(t *Task) Step {
-	p := t.p
+// step executes ops until one blocks (false) or the feed is exhausted
+// (true).
+func (m *progMachine) step(p *Proc) (done bool) {
 	e := p.engine
 	for {
 		if m.pc >= len(m.prog.ops) {
@@ -189,7 +248,7 @@ func (m *progMachine) step(t *Task) Step {
 				panic(simFault{err})
 			}
 			if !more {
-				return Done
+				return true
 			}
 			if n := m.prog.nreg; n > len(m.regs) {
 				m.regs = append(m.regs, make([]*Comm, n-len(m.regs))...)
@@ -216,7 +275,7 @@ func (m *progMachine) step(t *Task) Step {
 			e.afterWake(d, p)
 			p.state = procBlocked
 			p.blockedOn = blockInfo{what: "sleep", amt: d}
-			return Blocked
+			return false
 		case opSleep:
 			if op.amt < 0 {
 				p.faultf("Sleep(%g): negative duration", op.amt)
@@ -225,7 +284,7 @@ func (m *progMachine) step(t *Task) Step {
 			e.afterWake(op.amt, p)
 			p.state = procBlocked
 			p.blockedOn = blockInfo{what: "sleep", amt: op.amt}
-			return Blocked
+			return false
 		case opPut, opPutDetached:
 			if op.amt < 0 {
 				p.faultf("send of negative size %g", op.amt)
@@ -244,7 +303,7 @@ func (m *progMachine) step(t *Task) Step {
 			c := m.regs[op.reg]
 			if !c.Done() {
 				m.block(p, c)
-				return Blocked
+				return false
 			}
 			m.regs[op.reg] = nil
 			c.release()
@@ -254,7 +313,7 @@ func (m *progMachine) step(t *Task) Step {
 			if c != nil {
 				if !c.Done() {
 					m.block(p, c)
-					return Blocked
+					return false
 				}
 				m.pending[m.head] = nil
 				c.release()
@@ -294,7 +353,7 @@ func (m *progMachine) step(t *Task) Step {
 				}
 				p.state = procBlocked
 				p.blockedOn = blockInfo{what: "waitany", n: n}
-				return Blocked
+				return false
 			}
 			if c := m.pending[sel]; c != nil {
 				m.pending[sel] = nil
@@ -326,15 +385,15 @@ func (m *progMachine) step(t *Task) Step {
 				m.popPending()
 			}
 			if blocked {
-				return Blocked
+				return false
 			}
 			m.pc++
 		case opAwait:
 			// Advance before arriving: being woken IS the release, so the
 			// machine must not re-arrive on resume.
 			m.pc++
-			if !op.bar.Arrive(t) {
-				return Blocked
+			if !op.bar.arrive(p) {
+				return false
 			}
 		}
 	}

@@ -3,25 +3,25 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 )
 
-// Tests of the continuation scheduler: tasks and micro-op programs must be
+// Tests of the continuation scheduler: micro-op programs must be
 // observationally identical to goroutine-backed processes — same simulated
 // times, same stats, same diagnostics.
 
-func TestSpawnTaskSleepSequence(t *testing.T) {
+func TestProgSleepSequence(t *testing.T) {
 	e := NewEngine(pairRouter{&Link{Bandwidth: 1e9}})
 	h := &Host{Name: "h", Speed: 1e9}
-	state := 0
+	calls := 0
 	var times []float64
-	e.SpawnTask("t", h, func(tk *Task) Step {
-		times = append(times, tk.Now())
-		if state++; state <= 3 {
-			return tk.Sleep(0.5)
+	e.SpawnProg("t", h, func(p *Prog) (bool, error) {
+		times = append(times, e.Now())
+		if calls++; calls <= 3 {
+			p.Sleep(0.5)
+			return true, nil
 		}
-		return Done
+		return false, nil
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -38,23 +38,60 @@ func TestSpawnTaskSleepSequence(t *testing.T) {
 	}
 }
 
-func TestSpawnTaskStepWithoutBlockingFails(t *testing.T) {
-	e := NewEngine(pairRouter{&Link{Bandwidth: 1e9}})
-	h := &Host{Name: "h", Speed: 1e9}
-	e.SpawnTask("bad", h, func(tk *Task) Step { return Blocked })
-	err := e.Run()
-	if err == nil || !strings.Contains(err.Error(), "step returned Blocked without blocking") {
-		t.Fatalf("err = %v, want step-protocol violation", err)
+// Exec must be Proc.Execute op for op: the same end time and stats, the
+// same faults, and a zero amount that arms no timer and switches no
+// context.
+func TestProgExecMatchesExecute(t *testing.T) {
+	amounts := []float64{3e9, 0, 1.5e9, 0, 7}
+	run := func(continuation bool) (float64, Stats) {
+		e := NewEngine(pairRouter{&Link{Bandwidth: 1e9}})
+		h := &Host{Name: "h", Speed: 0.75e9}
+		if continuation {
+			i := 0
+			e.SpawnProg("r", h, func(p *Prog) (bool, error) {
+				if i == len(amounts) {
+					return false, nil
+				}
+				p.Exec(amounts[i])
+				i++
+				return true, nil
+			})
+		} else {
+			e.Spawn("r", h, func(p *Proc) {
+				for _, a := range amounts {
+					p.Execute(a)
+				}
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return e.Now(), e.Stats()
 	}
-}
+	tProg, sProg := run(true)
+	tGoro, sGoro := run(false)
+	if tProg != tGoro || sProg != sGoro {
+		t.Fatalf("Exec diverges from Execute:\n prog: %v %+v\n goro: %v %+v", tProg, sProg, tGoro, sGoro)
+	}
+	if sProg.TimersFired != 3 || sProg.ContextSwitches != 4 {
+		t.Fatalf("zero amounts must cost nothing: %+v", sProg)
+	}
 
-func TestTaskFailSurfacesError(t *testing.T) {
-	e := NewEngine(pairRouter{&Link{Bandwidth: 1e9}})
-	h := &Host{Name: "h", Speed: 1e9}
-	boom := errors.New("boom")
-	e.SpawnTask("t", h, func(tk *Task) Step { tk.Fail(boom); return Done })
-	if err := e.Run(); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
+	for _, tc := range []struct{ amt, speed float64 }{{-1, 1e9}, {1, 0}, {1, -2}} {
+		fault := func(continuation bool) error {
+			e := NewEngine(pairRouter{&Link{Bandwidth: 1e9}})
+			h := &Host{Name: "h", Speed: tc.speed}
+			if continuation {
+				e.SpawnProg("r", h, func(p *Prog) (bool, error) { p.Exec(tc.amt); return true, nil })
+			} else {
+				e.Spawn("r", h, func(p *Proc) { p.Execute(tc.amt) })
+			}
+			return e.Run()
+		}
+		errProg, errGoro := fault(true), fault(false)
+		if errProg == nil || errGoro == nil || errProg.Error() != errGoro.Error() {
+			t.Fatalf("Exec(%g) at speed %g: faults differ:\n prog: %v\n goro: %v", tc.amt, tc.speed, errProg, errGoro)
+		}
 	}
 }
 

@@ -44,3 +44,24 @@ func (b *Barrier) Await(p *Proc) bool {
 	}
 	return false
 }
+
+// arrive is the continuation-program Barrier.Await: it returns true when p
+// is the last arriver (barrier passed; keep executing) and false when p has
+// blocked. Unlike Await, the machine must not re-arrive on wake — being
+// woken IS the barrier release.
+func (b *Barrier) arrive(p *Proc) bool {
+	b.count++
+	if b.count == b.n {
+		b.count = 0
+		b.gen++
+		for _, w := range b.waiting {
+			b.engine.wake(w)
+		}
+		b.waiting = b.waiting[:0]
+		return true
+	}
+	b.waiting = append(b.waiting, p)
+	p.state = procBlocked
+	p.blockedOn = blockInfo{what: "barrier", n: b.count, m: b.n}
+	return false
+}

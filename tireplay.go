@@ -170,16 +170,10 @@ const (
 	MSG = core.MSG
 )
 
-// Backend extension surface: every replay implementation is driven through
-// the RankOps interface by one shared driver loop, and selected by
-// registered name.
+// Backend extension surface: every replay implementation compiles trace
+// actions to simulation micro-ops through one shared action lowering, and is
+// selected by registered name.
 type (
-	// RankOps is the per-rank operation set a replay backend provides.
-	RankOps = core.RankOps
-	// Request is an opaque handle to an outstanding nonblocking operation.
-	Request = core.Request
-	// BackendWorld is one backend's replay context (ranks bound to hosts).
-	BackendWorld = core.World
 	// Backend builds replay worlds and is selected by name.
 	Backend = core.Backend
 	// TraceError reports a malformed trace detected during replay.
