@@ -152,7 +152,7 @@ func TestContinuationGoroutineBitIdentical(t *testing.T) {
 		perRank := randomTrace(rng, n)
 		for _, cfg := range configs {
 			resTask, errTask := Replay(trace.NewMemProvider(perRank), testPlatform(t, n), cfg)
-			resGoro, errGoro := replayReference(trace.NewMemProvider(perRank), testPlatform(t, n), cfg)
+			resGoro, errGoro := ReplayReference(trace.NewMemProvider(perRank), testPlatform(t, n), cfg)
 			if (errTask == nil) != (errGoro == nil) {
 				t.Logf("error mismatch (backend %s): task=%v goroutine=%v", cfg.Backend, errTask, errGoro)
 				return false
@@ -276,7 +276,7 @@ MPI_Finalize returning at walltime 15.1, cputime 5 seconds in thread 0.
 			}
 			run := Replay
 			if goroutines {
-				run = replayReference
+				run = ReplayReference
 			}
 			res, err := run(p, testPlatform(t, 2), cfg)
 			if err != nil {
@@ -316,7 +316,7 @@ func TestTraceFailuresIdenticalAcrossSchedulers(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			n := len(tc.perRank)
 			_, errTask := Replay(trace.NewMemProvider(tc.perRank), testPlatform(t, n), Config{})
-			_, errGoro := replayReference(trace.NewMemProvider(tc.perRank), testPlatform(t, n), Config{})
+			_, errGoro := ReplayReference(trace.NewMemProvider(tc.perRank), testPlatform(t, n), Config{})
 			if errTask == nil || errGoro == nil {
 				t.Fatalf("want errors, got task=%v goroutine=%v", errTask, errGoro)
 			}

@@ -19,11 +19,10 @@ import (
 	"tireplay/internal/trace"
 )
 
-// ReplayReference is Replay on the goroutine reference driver, exported to
-// the external test package (scenario- and workload-level parity tests).
-var ReplayReference = replayReference
-
-func replayReference(prov trace.Provider, plat *platform.Platform, cfg Config) (*Result, error) {
+// ReplayReference is Replay on the goroutine reference driver. It is
+// exported to the external test package for the scenario- and
+// workload-level parity tests.
+func ReplayReference(prov trace.Provider, plat *platform.Platform, cfg Config) (*Result, error) {
 	return replay(prov, plat, cfg, spawnRankRef)
 }
 
